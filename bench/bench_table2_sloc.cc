@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -72,6 +73,29 @@ slocOfFiles(const std::vector<std::string> &files)
     return total;
 }
 
+/**
+ * Every .h/.cc file directly in src/core, i.e. all of it except
+ * src/core/verifier/: the trusted monitor as a whole, so a shrinking
+ * src/core shows up as one number.
+ */
+std::vector<std::string>
+coreFilesOutsideVerifier()
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> files;
+    for (const char *root : {"src/core", "../src/core"}) {
+        std::error_code ec;
+        for (const auto &e : fs::directory_iterator(root, ec)) {
+            const std::string ext = e.path().extension().string();
+            if (e.is_regular_file() && (ext == ".h" || ext == ".cc"))
+                files.push_back("core/" + e.path().filename().string());
+        }
+        if (!files.empty())
+            break;
+    }
+    return files;
+}
+
 } // namespace
 
 int
@@ -102,16 +126,18 @@ main()
          {"libos/ukapi.h", "apps/minisql/speedtest.h"}},
         {"NGINX port", "390 C",
          {"libos/sockapi.h", "apps/httpd/harness.h"}},
+        {"Trusted monitor (src/core minus verifier/)", "-",
+         coreFilesOutsideVerifier()},
     };
 
-    std::printf("%-36s %12s %14s\n", "component", "paper SLOC",
+    std::printf("%-44s %12s %14s\n", "component", "paper SLOC",
                 "this repo");
-    cubicleos::bench::rule('-', 64);
+    cubicleos::bench::rule('-', 72);
     for (const auto &row : rows) {
-        std::printf("%-36s %12s %14d\n", row.component, row.paper,
+        std::printf("%-44s %12s %14d\n", row.component, row.paper,
                     slocOfFiles(row.files));
     }
-    cubicleos::bench::rule('-', 64);
+    cubicleos::bench::rule('-', 72);
     std::printf("\nnote: this reproduction implements every substrate "
                 "from scratch, so the\nline counts bound the same "
                 "responsibilities rather than matching exactly;\n"

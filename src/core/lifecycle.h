@@ -20,8 +20,7 @@
  * replays the grants recorded at destroy time (RevokedGrant).
  *
  * Tracing: set CUBICLEOS_TRACE_LIFECYCLE to log destroy/restart/unwind
- * events to stderr (same pattern as CUBICLEOS_TRACE_FAULTS and
- * CUBICLEOS_TRACE_EVICTIONS).
+ * events to stderr (core/trace.h).
  */
 
 #ifndef CUBICLEOS_CORE_LIFECYCLE_H_
@@ -85,16 +84,6 @@ struct LifecycleRecord {
     /** Grants on other owners' windows to replay at restart. */
     std::vector<RevokedGrant> revoked;
 };
-
-namespace lifecycle {
-
-/** True when CUBICLEOS_TRACE_LIFECYCLE is set (checked once). */
-bool traceEnabled();
-
-/** printf-style trace line, prefixed "[lifecycle] " (stderr). */
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-} // namespace lifecycle
 
 } // namespace cubicleos::core
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "core/codescan.h"
 #include "core/lifecycle.h"
+#include "core/trace.h"
 #include "core/verifier/cache.h"
 
 namespace cubicleos::core {
@@ -174,9 +173,9 @@ Monitor::verifyImage(const ComponentSpec &spec,
                                                  spec.indirectTables,
                                                  &cacheHit);
     if (cacheHit)
-        stats_->countVerifyCacheHit();
+        stats_->add(Stats::Id::verifyCacheHits);
     else
-        stats_->countVerifyCacheMiss();
+        stats_->add(Stats::Id::verifyCacheMisses);
     // Counted per load, hit or miss: imagesVerified tracks verified
     // loads, the hit/miss counters tell how many ran the passes.
     stats_->countVerifiedImage(report.imageBytes, report.decodedBytes,
@@ -348,7 +347,7 @@ Wid
 Monitor::windowInit(Cid caller)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     // Reuse a dead slot if available.
     for (Wid wid = 0; wid < windows_.size(); ++wid) {
         if (!windows_[wid].live) {
@@ -366,7 +365,7 @@ void
 Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_add");
 
     if (!space_.contains(ptr) || size == 0)
@@ -396,7 +395,7 @@ void
 Monitor::windowRemove(Cid caller, Wid wid, const void *ptr)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_remove");
     if (!cubicles_[caller]->windows.remove(wid, ptr))
         throw WindowError("window_remove: no such range in window");
@@ -408,7 +407,7 @@ void
 Monitor::windowOpen(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_open");
     w.acl |= aclBit(peer);
     if (w.hotKey >= 0 && peer < cubicleCount())
@@ -420,7 +419,7 @@ void
 Monitor::windowClose(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_close");
     // Lazy revocation: the ACL bit is cleared but pages keep their
     // current tag (causal tag consistency, §5.6). Hot windows revoke
@@ -435,7 +434,7 @@ void
 Monitor::windowCloseAll(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_close_all");
     if (w.hotKey >= 0) {
         for (Cid cid = 0; cid < cubicleCount(); ++cid) {
@@ -451,7 +450,7 @@ void
 Monitor::windowDestroy(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     windowChecked(caller, wid, "window_destroy");
     destroyWindowLocked(caller, wid);
 }
@@ -488,7 +487,7 @@ void
 Monitor::windowSetHot(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_set_hot");
     if (w.hotKey >= 0)
         return;
@@ -517,7 +516,7 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
                         hw::Access expected)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_prestage");
     if (peer >= cubicleCount())
         throw WindowError("window_prestage: unknown peer cubicle");
@@ -554,7 +553,7 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
         prestageSweep(caller, wid, static_cast<uint8_t>(peer_pkey),
                       /*only_parked=*/false);
     if (total > 0)
-        stats_->countPrestage(total);
+        stats_->add(Stats::Id::prestages);
     return total;
 }
 
@@ -631,24 +630,22 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
                      IsolationMode mode)
 {
     clock_.charge(hw::cost::kFaultTrap);
-    stats_->countTrap();
+    stats_->add(Stats::Id::traps);
 
     // Opt-in fault trace for hot-path tuning: every trap is a modelled
     // 3,500-cycle event, so when a workload traps more than expected
     // this names the accessor, the page owner and the access at the
-    // fault site. Gated by env var; zero cost when unset.
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_FAULTS") != nullptr;
-    if (trace && space_.contains(fault.addr) &&
+    // fault site.
+    if (traceOn(TraceCat::kFault) && space_.contains(fault.addr) &&
         accessor < cubicleCount()) {
         const std::size_t pg = space_.pageIndexOf(fault.addr);
         const Cid own = meta_.at(pg).owner;
-        std::fprintf(
-            stderr, "[fault] %s %s page=%zu owner=%s pkey=%u\n",
-            cubicles_[accessor]->name.c_str(),
-            fault.reason == hw::FaultReason::kPkuWrite ? "W" : "R", pg,
-            own < cubicleCount() ? cubicles_[own]->name.c_str() : "?",
-            static_cast<unsigned>(fault.pkey));
+        trace(TraceCat::kFault,
+              "[fault] %s %s page=%zu owner=%s pkey=%u\n",
+              cubicles_[accessor]->name.c_str(),
+              fault.reason == hw::FaultReason::kPkuWrite ? "W" : "R", pg,
+              own < cubicleCount() ? cubicles_[own]->name.c_str() : "?",
+              static_cast<unsigned>(fault.pkey));
     }
 
     // Only MPK faults are resolvable; page-permission and not-present
@@ -776,18 +773,6 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
 // Tag virtualisation (DESIGN.md §14)
 // ----------------------------------------------------------------------
 
-namespace {
-
-bool
-traceEvictions()
-{
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_EVICTIONS") != nullptr;
-    return trace;
-}
-
-} // namespace
-
 int
 Monitor::ensureResident(Cid cid)
 {
@@ -818,10 +803,8 @@ Monitor::ensureResident(Cid cid)
     cub.pkey = tag;
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[faultin] %s tag=%d pages=%zu\n",
-                     cub.name.c_str(), tag, restored);
-    }
+    trace(TraceCat::kEvict, "[faultin] %s tag=%d pages=%zu\n",
+          cub.name.c_str(), tag, restored);
     return tag;
 }
 
@@ -835,10 +818,10 @@ Monitor::noteSwitch(Cid callee)
         return; // statically tagged: never evicted
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cub.pkey == parkedKey_) {
-        stats_->countTagMiss();
+        stats_->add(Stats::Id::tagMisses);
         ensureResident(callee);
     } else {
-        stats_->countTagHit();
+        stats_->add(Stats::Id::tagHits);
     }
 }
 
@@ -881,12 +864,10 @@ Monitor::evictLocked()
     bumpEpoch();
 
     v.evictions.fetchAdd(1);
-    stats_->countEviction(pages);
+    stats_->add(Stats::Id::evictions);
     keys_.release(tag);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[evict] %s tag=%d pages=%zu\n",
-                     v.name.c_str(), tag, pages);
-    }
+    trace(TraceCat::kEvict, "[evict] %s tag=%d pages=%zu\n",
+          v.name.c_str(), tag, pages);
     return tag;
 }
 
@@ -938,7 +919,7 @@ Monitor::faultInLocked(Cid cid, int tag)
         const std::size_t replayed =
             prestageSweep(w.owner, wid, to, /*only_parked=*/true);
         if (replayed > 0) {
-            stats_->countPrestage(replayed);
+            stats_->add(Stats::Id::prestages);
             total += replayed;
         }
     }
@@ -999,8 +980,8 @@ Monitor::destroyCubicle(Cid cid)
             "destroyCubicle: '" + cub.name + "' is " +
             lifeStateName(static_cast<LifeState>(cub.life.load())));
     }
-    lifecycle::trace("destroy %s (cid=%u): draining",
-                     cub.name.c_str(), static_cast<unsigned>(cid));
+    trace(TraceCat::kLife, "[lifecycle] destroy %s (cid=%u): draining\n",
+          cub.name.c_str(), static_cast<unsigned>(cid));
 
     // 1. Refuse new entries (CrossCallGuard checks life before
     // charging) and unwind threads already inside: their next checked
@@ -1146,10 +1127,10 @@ Monitor::destroyCubicle(Cid cid)
 
     cub.life.store(static_cast<uint8_t>(LifeState::kDead));
     stats_->countDestroy(reclaimed);
-    lifecycle::trace("destroy %s: %zu pages reclaimed, %zu grants "
-                     "revoked, static key %d saved",
-                     cub.name.c_str(), reclaimed, rec.revoked.size(),
-                     rec.staticKey);
+    trace(TraceCat::kLife,
+          "[lifecycle] destroy %s: %zu pages reclaimed, %zu grants "
+          "revoked, static key %d saved\n",
+          cub.name.c_str(), reclaimed, rec.revoked.size(), rec.staticKey);
     return reclaimed;
 }
 
@@ -1232,7 +1213,7 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
             }
         }
         if (replayed > 0)
-            stats_->countPrestage(replayed);
+            stats_->add(Stats::Id::prestages);
         rec.revoked.clear();
         // No epoch bump needed: a restart only widens grants.
     }
@@ -1243,11 +1224,12 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
 
     cub.life.store(static_cast<uint8_t>(LifeState::kLive));
     ++rec.generation;
-    stats_->countRestart();
-    lifecycle::trace("restart %s (cid=%u): generation %llu, pkey=%d",
-                     cub.name.c_str(), static_cast<unsigned>(cid),
-                     static_cast<unsigned long long>(rec.generation),
-                     static_cast<int>(cub.pkey));
+    stats_->add(Stats::Id::restarts);
+    trace(TraceCat::kLife,
+          "[lifecycle] restart %s (cid=%u): generation %llu, pkey=%d\n",
+          cub.name.c_str(), static_cast<unsigned>(cid),
+          static_cast<unsigned long long>(rec.generation),
+          static_cast<int>(cub.pkey));
 }
 
 uint64_t

@@ -6,17 +6,19 @@
  * graphs of Fig. 5 (NGINX) and Fig. 8 (SQLite).
  *
  * Thread-safety: every counter is a relaxed atomic. CrossCallGuard
- * bumps countCall/countWrpkru on every cross-cubicle call from any
- * thread, and the trap-and-map handler runs concurrently across
- * threads, so the counters must not serialise the hot paths: relaxed
- * increments add no ordering and no locks, mirroring per-CPU event
- * counters. Readers (benches, tests) see values at least as fresh as
- * the last synchronisation point (thread join, lock release).
+ * bumps countCall and the wrpkru counter on every cross-cubicle call
+ * from any thread, and the trap-and-map handler runs concurrently
+ * across threads, so the counters must not serialise the hot paths:
+ * relaxed increments add no ordering and no locks, mirroring per-CPU
+ * event counters. Readers (benches, tests) see values at least as
+ * fresh as the last synchronisation point (thread join, lock release).
  */
 
 #ifndef CUBICLEOS_CORE_STATS_H_
 #define CUBICLEOS_CORE_STATS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -24,6 +26,47 @@
 
 #include "core/ids.h"
 #include "hw/relaxed_atomic.h"
+
+/**
+ * The counter table, X(name, doc) per counter: `name` is the Stats::Id
+ * enumerator and the getter, `doc` what one increment means.
+ */
+#define CUBICLE_STATS_COUNTERS(X)                                            \
+    X(traps, "memory-protection traps taken (trap-and-map entries)")         \
+    X(retags, "retag operations (one pkey_mprotect call each)")              \
+    X(retagPages, "pages moved by those retags")                             \
+    X(prestages, "eager retags for a peer at window open, not at fault")     \
+    X(ringFlushes, "submission-ring flushes (one PKRU switch each)")         \
+    X(ringCalls, "queued cross-calls those flushes executed")                \
+    X(wrpkrus, "PKRU register writes")                                       \
+    X(windowOps, "window API operations (init/add/open/close/...)")          \
+    X(violations, "faults the monitor could not resolve (isolation)")        \
+    X(grantCacheHits, "faults absorbed by a thread's grant cache (TLB)")     \
+    X(tagHits, "cross-calls into a virtual-key cubicle already bound")       \
+    X(tagMisses, "cross-calls that found their callee parked")               \
+    X(evictions, "cubicles swept to the parked tag")                         \
+    X(faultIns, "parked cubicles re-bound to a physical tag")                \
+    X(faultInPages, "pages restored from the parked tag by fault-ins")       \
+    X(destroys, "cubicles destroyed (lifecycle subsystem)")                  \
+    X(restarts, "cubicles relaunched through Monitor::restartCubicle")       \
+    X(reclaimedPages, "pages destroyed cubicles returned to the allocator")  \
+    X(unwoundCalls, "cross-calls unwound with kPeerFaultVerdict")            \
+    X(imagesVerified, "load-time verifier runs over a component image")      \
+    X(verifierBytesScanned, "image bytes those runs scanned")                \
+    X(verifierBytesDecoded, "bytes the linear sweep decoded")                \
+    X(verifierInsns, "instructions the linear sweep decoded")                \
+    X(verifierRejected, "rejecting verifier findings")                       \
+    X(verifierReported, "report-only verifier findings")                     \
+    X(lintRuns, "isolation-lint runs over the wiring")                       \
+    X(lintFindings, "findings those lint runs yielded")                      \
+    X(auditRuns, "least-privilege audit runs")                               \
+    X(auditFindings, "findings those audit runs yielded")                    \
+    X(verifyCacheHits, "loads served from the verifier's image-hash cache")  \
+    X(verifyCacheMisses, "loads that ran the sweep + CFG walk for real")     \
+    X(dataCopies, "payload memcpys on the data path")                        \
+    X(dataCopyBytes, "bytes those payload memcpys moved")                    \
+    X(zeroCopySends, "TCP segments sent straight from a borrowed span")      \
+    X(zeroCopyBytes, "payload bytes those zero-copy segments carried")
 
 namespace cubicleos::core {
 
@@ -37,177 +80,110 @@ struct CallEdge {
 /** Aggregated runtime counters for one System. */
 class Stats {
   public:
+    /** One scalar counter; see CUBICLE_STATS_COUNTERS. */
+    enum class Id : std::size_t {
+#define CUBICLE_STATS_ID(name, doc) name,
+        CUBICLE_STATS_COUNTERS(CUBICLE_STATS_ID)
+#undef CUBICLE_STATS_ID
+    };
+    /** Number of scalar counters. */
+    static constexpr std::size_t kCount = 0
+#define CUBICLE_STATS_ONE(name, doc) +1
+        CUBICLE_STATS_COUNTERS(CUBICLE_STATS_ONE)
+#undef CUBICLE_STATS_ONE
+        ;
+
     Stats() : edgeMatrix_(kMaxCubicles * kMaxCubicles) {}
 
     Stats(const Stats &) = delete;
     Stats &operator=(const Stats &) = delete;
 
+    /** Adds @p n to one counter: a relaxed fetch_add at a fixed slot. */
+    void add(Id id, uint64_t n = 1)
+    {
+        c_[static_cast<std::size_t>(id)].fetchAdd(n);
+    }
+
+#define CUBICLE_STATS_GETTER(name, doc)                                      \
+    uint64_t name() const { return c_[static_cast<std::size_t>(Id::name)]; }
+    CUBICLE_STATS_COUNTERS(CUBICLE_STATS_GETTER)
+#undef CUBICLE_STATS_GETTER
+
     /**
      * Records one cross-cubicle call on the (caller, callee) edge.
      * A flat-matrix increment: cheap enough to keep on in every mode.
      * @throws std::out_of_range when either cubicle ID is outside the
-     *         ACL/matrix width (kMaxCubicles) — out-of-range IDs used
-     *         to alias silently onto `cid % kMaxCubicles`, corrupting
-     *         another cubicle's edge counters.
+     *         ACL/matrix width (kMaxCubicles), rather than aliasing
+     *         onto another cubicle's edge counters.
      */
     void countCall(Cid caller, Cid callee)
     {
         edgeMatrix_[matrixIndex(caller, callee)].fetchAdd(1);
     }
 
-    /** Memory-protection traps taken (trap-and-map entries). */
-    void countTrap() { traps_.fetchAdd(1); }
     /**
-     * One retag operation (one pkey_mprotect call) covering @p pages
-     * pages. The ratio retagPages()/retags() is the amortisation the
-     * range-granular fault handler buys: per-page retagging keeps it
-     * at 1, a 2 MiB chunk pushes it to 512.
+     * One retag covering @p pages pages; retagPages()/retags() is the
+     * range-granular handler's amortisation (1 per page, 512 per 2 MiB).
      */
     void countRetag(uint64_t pages = 1)
     {
-        retags_.fetchAdd(1);
-        retagPages_.fetchAdd(pages);
+        add(Id::retags);
+        add(Id::retagPages, pages);
     }
-    /**
-     * One eager (prestaged) retag: pages tagged for a peer at window
-     * open rather than lazily at first-touch fault time.
-     */
-    void countPrestage(uint64_t pages)
-    {
-        prestages_.fetchAdd(1);
-        prestagePages_.fetchAdd(pages);
-    }
-    /**
-     * One submission-ring flush executing @p calls queued cross-calls
-     * under a single trampoline/PKRU switch.
-     */
+    /** One ring flush executing @p calls queued cross-calls. */
     void countRingFlush(uint64_t calls)
     {
-        ringFlushes_.fetchAdd(1);
-        ringCalls_.fetchAdd(calls);
+        add(Id::ringFlushes);
+        add(Id::ringCalls, calls);
     }
-    /** PKRU register writes. */
-    void countWrpkru(uint64_t n = 1) { wrpkrus_.fetchAdd(n); }
-    /** Window API operations (init/add/open/close/...). */
-    void countWindowOp() { windowOps_.fetchAdd(1); }
-    /** Faults the monitor could not resolve (isolation violations). */
-    void countViolation() { violations_.fetchAdd(1); }
-    /**
-     * Faults absorbed by a thread's grant cache (the simulated TLB):
-     * the access was allowed from the cached window grant without
-     * entering the monitor or retagging the page.
-     */
-    void countGrantCacheHit() { grantCacheHits_.fetchAdd(1); }
-
-    /**
-     * Cross-call into a dynamically-tagged cubicle whose physical tag
-     * was already bound (no eviction machinery on the path).
-     */
-    void countTagHit() { tagHits_.fetchAdd(1); }
-    /** Cross-call that found its callee parked (fault-in required). */
-    void countTagMiss() { tagMisses_.fetchAdd(1); }
-    /**
-     * One eviction: a victim cubicle's resident pages were swept to
-     * the parked tag in range-granular retags covering @p pages pages.
-     */
-    void countEviction(uint64_t pages)
-    {
-        evictions_.fetchAdd(1);
-        evictionPages_.fetchAdd(pages);
-    }
-    /**
-     * One fault-in: a parked cubicle was re-bound to a physical tag
-     * and @p pages of its pages restored from the parked tag.
-     */
+    /** One fault-in restoring @p pages from the parked tag. */
     void countFaultIn(uint64_t pages)
     {
-        faultIns_.fetchAdd(1);
-        faultInPages_.fetchAdd(pages);
+        add(Id::faultIns);
+        add(Id::faultInPages, pages);
     }
-
-    /**
-     * One cubicle destroyed (lifecycle subsystem): @p pages of its
-     * code/global/stack/heap pages were returned to the allocator.
-     */
+    /** One cubicle destroyed, returning @p pages to the allocator. */
     void countDestroy(uint64_t pages)
     {
-        destroys_.fetchAdd(1);
-        reclaimedPages_.fetchAdd(pages);
+        add(Id::destroys);
+        add(Id::reclaimedPages, pages);
     }
-    /** One cubicle relaunched through Monitor::restartCubicle. */
-    void countRestart() { restarts_.fetchAdd(1); }
-    /**
-     * @p calls in-flight or queued cross-calls unwound with a
-     * kPeerFaultVerdict because their callee died.
-     */
-    void countUnwound(uint64_t calls = 1) { unwoundCalls_.fetchAdd(calls); }
-
     /** Records one load-time verifier run over a component image. */
     void countVerifiedImage(uint64_t imageBytes, uint64_t decodedBytes,
                             uint64_t insns, uint64_t rejecting,
                             uint64_t reportOnly)
     {
-        imagesVerified_.fetchAdd(1);
-        verifierBytesScanned_.fetchAdd(imageBytes);
-        verifierBytesDecoded_.fetchAdd(decodedBytes);
-        verifierInsns_.fetchAdd(insns);
-        verifierRejected_.fetchAdd(rejecting);
-        verifierReported_.fetchAdd(reportOnly);
+        add(Id::imagesVerified);
+        add(Id::verifierBytesScanned, imageBytes);
+        add(Id::verifierBytesDecoded, decodedBytes);
+        add(Id::verifierInsns, insns);
+        add(Id::verifierRejected, rejecting);
+        add(Id::verifierReported, reportOnly);
     }
     /** Records one isolation-lint run yielding @p findings findings. */
     void countLintRun(uint64_t findings)
     {
-        lintRuns_.fetchAdd(1);
-        lintFindings_.fetchAdd(findings);
+        add(Id::lintRuns);
+        add(Id::lintFindings, findings);
     }
     /** Records one least-privilege audit run yielding @p findings. */
     void countAuditRun(uint64_t findings)
     {
-        auditRuns_.fetchAdd(1);
-        auditFindings_.fetchAdd(findings);
+        add(Id::auditRuns);
+        add(Id::auditFindings, findings);
     }
-    /** Load served from the verifier's image-hash cache. */
-    void countVerifyCacheHit() { verifyCacheHits_.fetchAdd(1); }
-    /** Load that ran the sweep + CFG walk for real. */
-    void countVerifyCacheMiss() { verifyCacheMisses_.fetchAdd(1); }
-    /**
-     * One payload memcpy on the data path (FS block ↔ app buffer,
-     * header staging, send-queue staging). The sendfile experiment
-     * compares this counter between the copying and zero-copy paths.
-     */
+    /** One payload memcpy of @p bytes (FS block, header, send queue). */
     void countDataCopy(uint64_t bytes)
     {
-        dataCopies_.fetchAdd(1);
-        dataCopyBytes_.fetchAdd(bytes);
+        add(Id::dataCopies);
+        add(Id::dataCopyBytes, bytes);
     }
-    /** TCP segments whose payload came straight from a borrowed span. */
+    /** @p segs TCP segments carrying @p bytes from a borrowed span. */
     void countZeroCopySend(uint64_t bytes, uint64_t segs = 1)
     {
-        zeroCopySends_.fetchAdd(segs);
-        zeroCopyBytes_.fetchAdd(bytes);
+        add(Id::zeroCopySends, segs);
+        add(Id::zeroCopyBytes, bytes);
     }
-
-    uint64_t traps() const { return traps_; }
-    uint64_t retags() const { return retags_; }
-    uint64_t retagPages() const { return retagPages_; }
-    uint64_t prestages() const { return prestages_; }
-    uint64_t prestagePages() const { return prestagePages_; }
-    uint64_t ringFlushes() const { return ringFlushes_; }
-    uint64_t ringCalls() const { return ringCalls_; }
-    uint64_t wrpkrus() const { return wrpkrus_; }
-    uint64_t windowOps() const { return windowOps_; }
-    uint64_t violations() const { return violations_; }
-    uint64_t grantCacheHits() const { return grantCacheHits_; }
-    uint64_t tagHits() const { return tagHits_; }
-    uint64_t tagMisses() const { return tagMisses_; }
-    uint64_t evictions() const { return evictions_; }
-    uint64_t evictionPages() const { return evictionPages_; }
-    uint64_t faultIns() const { return faultIns_; }
-    uint64_t faultInPages() const { return faultInPages_; }
-    uint64_t destroys() const { return destroys_; }
-    uint64_t restarts() const { return restarts_; }
-    uint64_t reclaimedPages() const { return reclaimedPages_; }
-    uint64_t unwoundCalls() const { return unwoundCalls_; }
 
     /**
      * Physical-tag hit rate over all cross-calls into virtual-key
@@ -215,30 +191,13 @@ class Stats {
      */
     double tagHitRatePercent() const
     {
-        const uint64_t hits = tagHits_;
-        const uint64_t misses = tagMisses_;
+        const uint64_t hits = tagHits();
+        const uint64_t misses = tagMisses();
         if (hits + misses == 0)
             return 100.0;
         return 100.0 * static_cast<double>(hits) /
                static_cast<double>(hits + misses);
     }
-
-    uint64_t imagesVerified() const { return imagesVerified_; }
-    uint64_t verifierBytesScanned() const { return verifierBytesScanned_; }
-    uint64_t verifierBytesDecoded() const { return verifierBytesDecoded_; }
-    uint64_t verifierInsns() const { return verifierInsns_; }
-    uint64_t verifierRejected() const { return verifierRejected_; }
-    uint64_t verifierReported() const { return verifierReported_; }
-    uint64_t lintRuns() const { return lintRuns_; }
-    uint64_t lintFindings() const { return lintFindings_; }
-    uint64_t auditRuns() const { return auditRuns_; }
-    uint64_t auditFindings() const { return auditFindings_; }
-    uint64_t verifyCacheHits() const { return verifyCacheHits_; }
-    uint64_t verifyCacheMisses() const { return verifyCacheMisses_; }
-    uint64_t dataCopies() const { return dataCopies_; }
-    uint64_t dataCopyBytes() const { return dataCopyBytes_; }
-    uint64_t zeroCopySends() const { return zeroCopySends_; }
-    uint64_t zeroCopyBytes() const { return zeroCopyBytes_; }
 
     /** Returns the call count on one edge. */
     uint64_t callsOnEdge(Cid caller, Cid callee) const
@@ -276,43 +235,8 @@ class Stats {
     {
         for (auto &v : edgeMatrix_)
             v = 0;
-        traps_ = 0;
-        retags_ = 0;
-        retagPages_ = 0;
-        prestages_ = 0;
-        prestagePages_ = 0;
-        ringFlushes_ = 0;
-        ringCalls_ = 0;
-        wrpkrus_ = 0;
-        windowOps_ = 0;
-        violations_ = 0;
-        grantCacheHits_ = 0;
-        tagHits_ = 0;
-        tagMisses_ = 0;
-        evictions_ = 0;
-        evictionPages_ = 0;
-        faultIns_ = 0;
-        faultInPages_ = 0;
-        destroys_ = 0;
-        restarts_ = 0;
-        reclaimedPages_ = 0;
-        unwoundCalls_ = 0;
-        imagesVerified_ = 0;
-        verifierBytesScanned_ = 0;
-        verifierBytesDecoded_ = 0;
-        verifierInsns_ = 0;
-        verifierRejected_ = 0;
-        verifierReported_ = 0;
-        lintRuns_ = 0;
-        lintFindings_ = 0;
-        auditRuns_ = 0;
-        auditFindings_ = 0;
-        verifyCacheHits_ = 0;
-        verifyCacheMisses_ = 0;
-        dataCopies_ = 0;
-        dataCopyBytes_ = 0;
-        zeroCopySends_ = 0;
-        zeroCopyBytes_ = 0;
+        for (auto &v : c_)
+            v = 0;
     }
 
   private:
@@ -333,43 +257,7 @@ class Stats {
     using Counter = hw::RelaxedAtomic<uint64_t>;
 
     std::vector<Counter> edgeMatrix_;
-    Counter traps_;
-    Counter retags_;
-    Counter retagPages_;
-    Counter prestages_;
-    Counter prestagePages_;
-    Counter ringFlushes_;
-    Counter ringCalls_;
-    Counter wrpkrus_;
-    Counter windowOps_;
-    Counter violations_;
-    Counter grantCacheHits_;
-    Counter tagHits_;
-    Counter tagMisses_;
-    Counter evictions_;
-    Counter evictionPages_;
-    Counter faultIns_;
-    Counter faultInPages_;
-    Counter destroys_;
-    Counter restarts_;
-    Counter reclaimedPages_;
-    Counter unwoundCalls_;
-    Counter imagesVerified_;
-    Counter verifierBytesScanned_;
-    Counter verifierBytesDecoded_;
-    Counter verifierInsns_;
-    Counter verifierRejected_;
-    Counter verifierReported_;
-    Counter lintRuns_;
-    Counter lintFindings_;
-    Counter auditRuns_;
-    Counter auditFindings_;
-    Counter verifyCacheHits_;
-    Counter verifyCacheMisses_;
-    Counter dataCopies_;
-    Counter dataCopyBytes_;
-    Counter zeroCopySends_;
-    Counter zeroCopyBytes_;
+    std::array<Counter, kCount> c_;
 };
 
 } // namespace cubicleos::core

@@ -643,7 +643,8 @@ class CallRing {
                     slots_[j].destroy(slots_[j].storage);
             }
             if (count_ > i + 1)
-                sys_.stats().countUnwound(count_ - i - 1);
+                sys_.stats().add(Stats::Id::unwoundCalls,
+                                 count_ - i - 1);
             count_ = 0;
             return;
         } catch (...) {
@@ -663,7 +664,7 @@ class CallRing {
                 *slots_[i].verdict = kPeerFaultVerdict;
             slots_[i].destroy(slots_[i].storage);
         }
-        sys_.stats().countUnwound(count_);
+        sys_.stats().add(Stats::Id::unwoundCalls, count_);
         count_ = 0;
     }
 

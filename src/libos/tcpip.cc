@@ -124,6 +124,7 @@ struct TcpIpStack::Conn {
         kCloseWait,
         kLastAck,
         kClosing,
+        kTimeWait, ///< peer's FIN received after ours: ACK it, then free
     };
 
     State state = kClosed;
@@ -591,6 +592,11 @@ TcpIpStack::pollOutput(
 
         if (c.ackPending)
             emit(c.sndNxt, kAck, nullptr, 0);
+        if (c.state == Conn::kTimeWait) {
+            c.state = Conn::kClosed;
+            if (c.appClosed)
+                c.used = false;
+        }
     }
 }
 
@@ -768,9 +774,10 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
                 c->state = Conn::kClosing;
                 break;
               case Conn::kFinWait2:
-                c->state = Conn::kClosed;
-                if (c->appClosed)
-                    c->used = false;
+                // Keep the slot until pollOutput has sent the final
+                // ACK; without it the peer stays in kLastAck until
+                // its RTO resends the FIN.
+                c->state = Conn::kTimeWait;
                 break;
               default:
                 break;
@@ -792,7 +799,7 @@ TcpIpStack::tick(uint64_t now_ns)
             ((c.state == Conn::kSynSent || c.state == Conn::kSynRcvd) &&
              c.synOut) ||
             (c.finSent && c.state != Conn::kClosed &&
-             c.state != Conn::kFinWait2);
+             c.state != Conn::kFinWait2 && c.state != Conn::kTimeWait);
         if (awaiting && now_ns > c.lastSendNs &&
             now_ns - c.lastSendNs > cfg_.rtoNs) {
             // Go-back-N: rewind and let pollOutput resend.

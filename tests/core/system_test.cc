@@ -365,6 +365,35 @@ TEST(SystemTest, StatsResetClearsEverything)
 }
 
 /**
+ * Pins the counter table's name-to-slot mapping: counter i gets i+1,
+ * so two names sharing a slot, or a getter reading its neighbour,
+ * shows up as a wrong value.
+ */
+TEST(SystemTest, StatsEveryCounterIsDistinctAndResets)
+{
+    Stats stats;
+    uint64_t i = 0;
+#define BUMP(name, doc) stats.add(Stats::Id::name, ++i);
+    CUBICLE_STATS_COUNTERS(BUMP)
+#undef BUMP
+    EXPECT_EQ(i, Stats::kCount);
+    stats.countCall(1, 2);
+
+    i = 0;
+#define READ_BACK(name, doc) EXPECT_EQ(stats.name(), ++i) << #name;
+    CUBICLE_STATS_COUNTERS(READ_BACK)
+#undef READ_BACK
+    EXPECT_EQ(stats.callsOnEdge(1, 2), 1u);
+
+    stats.reset();
+#define ZEROED(name, doc) EXPECT_EQ(stats.name(), 0u) << #name;
+    CUBICLE_STATS_COUNTERS(ZEROED)
+#undef ZEROED
+    EXPECT_EQ(stats.totalCalls(), 0u);
+    EXPECT_TRUE(stats.edges().empty());
+}
+
+/**
  * Mode sweep: cross-call cost ordering must satisfy
  * unikraft <= no-mpk <= no-acl == full (for call overhead alone).
  */

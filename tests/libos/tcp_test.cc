@@ -173,6 +173,25 @@ TEST_F(TcpPair, OrderlyCloseDeliversEof)
     pump();
 }
 
+TEST_F(TcpPair, ActiveCloserAcksPeerFinSoNothingRetransmits)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    alice->close(afd); // client closes first
+    pump();
+    char buf[8];
+    ASSERT_EQ(bob->recv(bfd, buf, sizeof(buf)), 0) << "EOF after FIN";
+    bob->close(bfd); // server closes on EOF
+    pump();
+
+    now += 2 * alice->config().rtoNs;
+    pump();
+    EXPECT_EQ(alice->stats().retransmits, 0u);
+    EXPECT_EQ(bob->stats().retransmits, 0u);
+    EXPECT_EQ(alice->recv(afd, buf, sizeof(buf)), kNetBadFd) << "slot free";
+    EXPECT_EQ(bob->recv(bfd, buf, sizeof(buf)), kNetBadFd) << "slot free";
+}
+
 TEST_F(TcpPair, ChecksumCorruptionDropsSegment)
 {
     int afd, bfd;
