@@ -164,12 +164,11 @@ main()
     }
     std::fprintf(json,
                  "{\n"
-                 "  \"bench\": \"mt_faults\",\n"
+                 "  \"bench\": \"mt_faults\",\n");
+    bench::jsonProvenance(json);
+    std::fprintf(json,
                  "  \"iters_per_thread\": %d,\n"
                  "  \"hardware_concurrency\": %u,\n"
-                 "  \"note\": \"wall-clock scaling requires a "
-                 "multi-core host; on 1 core the series shows "
-                 "serialisation overhead only\",\n"
                  "  \"runs\": [\n",
                  iters, hw_threads);
     for (std::size_t i = 0; i < results.size(); ++i) {

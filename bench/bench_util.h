@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 
+#include "core/locking.h"
 #include "hw/cycles.h"
 
 namespace cubicleos::bench {
@@ -81,6 +82,22 @@ inline int
 scaleFromEnv(const char *name, int def)
 {
     return intFromEnv(name, def, 10);
+}
+
+/**
+ * Writes a BENCH_*.json file's build provenance: the CMake build type
+ * (CUBICLE_BENCH_BUILD_TYPE, set by bench/CMakeLists.txt) and whether
+ * the lockdep checker was compiled in. Emits two object
+ * members, each ending in a comma, at the file's top level.
+ */
+inline void
+jsonProvenance(FILE *json)
+{
+    std::fprintf(json,
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"lockdep\": %s,\n",
+                 CUBICLE_BENCH_BUILD_TYPE,
+                 core::lockdep::kEnabled ? "true" : "false");
 }
 
 } // namespace cubicleos::bench

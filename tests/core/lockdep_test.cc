@@ -163,6 +163,21 @@ TEST_F(LockdepTest, RankInversionOnRawWrappersAborts)
         "rank inversion");
 }
 
+TEST_F(LockdepTest, ReportNamesHeldLockSite)
+{
+    Mutex low(LockRank::kLoader, "test.loader");
+    Mutex high(LockRank::kPage, "test.page");
+
+    // The held lock's entry keeps one frame, its acquisition site; the
+    // report must still print it as a symbolised frame line.
+    EXPECT_DEATH(
+        {
+            MutexLock a(high);
+            MutexLock b(low);
+        },
+        "held lock was acquired at:\n[^\n]*\\[0x[0-9a-f]+\\]");
+}
+
 TEST_F(LockdepTest, LegalFullChainStaysSilent)
 {
     // The deepest legal chain in the hierarchy: loader → verify-cache
