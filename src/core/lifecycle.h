@@ -44,6 +44,20 @@ enum class LifeState : uint8_t {
 const char *lifeStateName(LifeState state);
 
 /**
+ * What a peer has done with a window grant: faulted a read or a write
+ * through it (the audit's usage history), or declared a standing
+ * prestage hint for reads or writes. Indexes Monitor::WindowUsage and
+ * the bits of RevokedGrant::uses.
+ */
+enum GrantUse : uint8_t {
+    kUsedRead,
+    kUsedWrite,
+    kPrestagedRead,
+    kPrestagedWrite,
+    kGrantUses
+};
+
+/**
  * One grant a dying cubicle held on somebody else's window, recorded
  * by destroyCubicle so restartCubicle can replay it. Destroy clears
  * the victim's ACL bit (plus its usage/prestage mask bits — the audit
@@ -57,11 +71,7 @@ const char *lifeStateName(LifeState state);
 struct RevokedGrant {
     Wid wid = kInvalidWindow;
     Cid owner = kNoCubicle; ///< window owner (sanity check at replay)
-    bool usedRead = false;  ///< audit usage mask bits held at destroy
-    bool usedWrite = false;
-    bool prestagedRead = false;  ///< standing prestage hints to replay
-    bool prestagedWrite = false;
-    bool hot = false; ///< window had a dedicated hot key at destroy
+    uint8_t uses = 0;       ///< bit u: the peer held GrantUse u at destroy
 };
 
 /**

@@ -27,7 +27,7 @@ isolationModeName(IsolationMode mode)
 Monitor::Monitor(const SystemConfig &cfg, Stats *stats)
     : cfg_(cfg), stats_(stats), clock_(),
       space_(cfg.numPages, &clock_),
-      mpk_(cfg.modifiedExecSemantics, cfg.physTagBudget),
+      mpk_(/*modified_exec_semantics=*/true, cfg.physTagBudget),
       meta_(cfg.numPages),
       pageAlloc_(&space_, &meta_, /*reserve_first=*/0)
 {
@@ -102,7 +102,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
         // dedicated hardware tag each.
         const bool reserve_hit =
             cfg_.virtualizeTags &&
-            mpk_.remainingKeys() <= cfg_.hotKeyReserve;
+            mpk_.remainingKeys() <= kHotKeyReserve;
         const int key = reserve_hit ? -1 : mpk_.allocKey();
         if (key >= 0) {
             // Statically tagged: this cubicle keeps its physical tag
@@ -198,42 +198,35 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
     const auto pkey = static_cast<uint8_t>(cub.pkey);
     const Cid cid = cub.id;
 
+    auto alloc = [&](std::size_t n, mem::PageType type, uint8_t perms,
+                     const char *what) {
+        MutexLock pages(pageMutex_);
+        mem::PageRange r = pageAlloc_.allocPages(n, cid, type, perms, pkey);
+        if (!r.valid())
+            throw OutOfMemory(std::string(what) + " pages for '" +
+                              spec.name + "'");
+        return r;
+    };
+
     // Code pages: map writable to copy the image, then execute-only
     // (rule 1, §5.4: cubicles cannot change execute permissions later).
-    const std::size_t code_pages = hw::pagesFor(image.size());
-    {
-        MutexLock pages(pageMutex_);
-        cub.codeRange = pageAlloc_.allocPages(code_pages, cid,
-                                              mem::PageType::kCode,
-                                              hw::kPermWrite, pkey);
-    }
-    if (!cub.codeRange.valid())
-        throw OutOfMemory("code pages for '" + spec.name + "'");
+    cub.codeRange = alloc(hw::pagesFor(image.size()), mem::PageType::kCode,
+                          hw::kPermWrite, "code");
     std::memcpy(cub.codeRange.ptr, image.data(), image.size());
     space_.setPerms(cub.codeRange.first, cub.codeRange.count,
                     hw::kPermExec);
 
     // Global data pages.
     if (spec.globalPages > 0) {
-        MutexLock pages(pageMutex_);
-        cub.globalRange = pageAlloc_.allocPages(
-            spec.globalPages, cid, mem::PageType::kGlobal,
-            hw::kPermRead | hw::kPermWrite, pkey);
-        if (!cub.globalRange.valid())
-            throw OutOfMemory("global pages for '" + spec.name + "'");
+        cub.globalRange = alloc(spec.globalPages, mem::PageType::kGlobal,
+                                hw::kPermRead | hw::kPermWrite, "global");
     }
 
     // Per-cubicle stack arena.
-    const std::size_t stack_pages =
-        spec.stackPages ? spec.stackPages : cfg_.stackPages;
-    {
-        MutexLock pages(pageMutex_);
-        cub.stackRange = pageAlloc_.allocPages(
-            stack_pages, cid, mem::PageType::kStack,
-            hw::kPermRead | hw::kPermWrite, pkey);
-    }
-    if (!cub.stackRange.valid())
-        throw OutOfMemory("stack pages for '" + spec.name + "'");
+    cub.stackRange =
+        alloc(spec.stackPages ? spec.stackPages : cfg_.stackPages,
+              mem::PageType::kStack, hw::kPermRead | hw::kPermWrite,
+              "stack");
 
     // Heap: default page source is the monitor's pool. The boot code may
     // rewire it to cross-call the ALLOC component (see System::boot).
@@ -281,8 +274,8 @@ Monitor::snapshotWiring() const
             continue;
         snap.windows.push_back(verifier::WindowWiring{
             wid, w.owner, w.acl, w.rangeCount, w.hotKey,
-            w.rangesEverAdded, windowUsage_[wid].usedRead.load(),
-            windowUsage_[wid].usedWrite.load()});
+            w.rangesEverAdded, windowUsage_[wid][kUsedRead].load(),
+            windowUsage_[wid][kUsedWrite].load()});
     }
     return snap;
 }
@@ -325,12 +318,60 @@ Monitor::pkruFor(Cid cid) const
 }
 
 // ----------------------------------------------------------------------
+// Retagging (DESIGN.md §13)
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** retagSweep predicate for a run committed whole. */
+constexpr auto kWholeRun = [](std::size_t) { return true; };
+
+/** retagSweep tag function giving every accepted page @p tag. */
+auto
+fixedTag(int tag)
+{
+    return [tag](std::size_t) { return tag; };
+}
+
+} // namespace
+
+template <typename Accept, typename TagFn>
+std::size_t
+Monitor::retagSweep(std::size_t first, std::size_t end, Accept accept,
+                    TagFn tag_of, bool count)
+{
+    // accept is a separate bool predicate, not a "no tag" value of
+    // tag_of: that keeps the skip over declined pages — nearly every
+    // page of a whole-space sweep — a one-branch loop.
+    std::size_t total = 0;
+    std::size_t i = first;
+    while (i < end) {
+        if (!accept(i)) {
+            ++i;
+            continue;
+        }
+        const int tag = tag_of(i);
+        std::size_t run = i + 1;
+        while (run < end && run - i < kRetagChunkPages && accept(run) &&
+               tag_of(run) == tag)
+            ++run;
+        space_.setKeyRange(i, run - i, static_cast<uint8_t>(tag));
+        if (count)
+            stats_->countRetag(run - i);
+        total += run - i;
+        i = run;
+    }
+    return total;
+}
+
+// ----------------------------------------------------------------------
 // Window API
 // ----------------------------------------------------------------------
 
 Window &
 Monitor::windowChecked(Cid caller, Wid wid, const char *op)
 {
+    stats_->add(Stats::Id::windowOps);
     if (wid >= windows_.size() || !windows_[wid].live)
         throw WindowError(std::string(op) + ": invalid window id");
     Window &w = windows_[wid];
@@ -365,7 +406,6 @@ void
 Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_add");
 
     if (!space_.contains(ptr) || size == 0)
@@ -381,13 +421,17 @@ Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 
     if (w.hotKey >= 0) {
         // Hot window: tag the pages with the window key now, so uses
-        // by any ACL member need no trap at all.
-        const std::size_t first = space_.pageIndexOf(ptr);
-        const std::size_t last = space_.pageIndexOf(
-            static_cast<const uint8_t *>(ptr) + size - 1);
-        space_.setKey(first, last - first + 1,
-                      static_cast<uint8_t>(w.hotKey));
-        stats_->countRetag();
+        // by any ACL member need no trap at all. Owner intersection,
+        // as for every grant: only the first page was validated
+        // above, so foreign pages inside the range keep their tag.
+        const auto *last_byte = static_cast<const std::byte *>(ptr) + size - 1;
+        const std::size_t end = space_.contains(last_byte)
+            ? space_.pageIndexOf(last_byte) + 1
+            : space_.numPages();
+        retagSweep(
+            space_.pageIndexOf(ptr), end,
+            [&](std::size_t p) { return meta_.at(p).owner == caller; },
+            fixedTag(w.hotKey));
     }
 }
 
@@ -395,7 +439,6 @@ void
 Monitor::windowRemove(Cid caller, Wid wid, const void *ptr)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_remove");
     if (!cubicles_[caller]->windows.remove(wid, ptr))
         throw WindowError("window_remove: no such range in window");
@@ -407,7 +450,6 @@ void
 Monitor::windowOpen(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_open");
     w.acl |= aclBit(peer);
     if (w.hotKey >= 0 && peer < cubicleCount())
@@ -419,7 +461,6 @@ void
 Monitor::windowClose(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_close");
     // Lazy revocation: the ACL bit is cleared but pages keep their
     // current tag (causal tag consistency, §5.6). Hot windows revoke
@@ -434,7 +475,6 @@ void
 Monitor::windowCloseAll(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_close_all");
     if (w.hotKey >= 0) {
         for (Cid cid = 0; cid < cubicleCount(); ++cid) {
@@ -450,7 +490,6 @@ void
 Monitor::windowDestroy(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     windowChecked(caller, wid, "window_destroy");
     destroyWindowLocked(caller, wid);
 }
@@ -467,14 +506,10 @@ Monitor::destroyWindowLocked(Cid owner, Wid wid)
         // race this sweep and win on a page; it leaves the page tagged
         // for a still-entitled accessor, which lazy close already
         // permits.
-        for (std::size_t page = 0; page < space_.numPages(); ++page) {
-            if (space_.entryAt(page).present &&
-                space_.entryAt(page).pkey == w.hotKey) {
-                space_.setKey(page, 1,
-                              static_cast<uint8_t>(
-                                  cubicles_[owner]->pkey));
-            }
-        }
+        const int hot = w.hotKey;
+        retagSweep(0, space_.numPages(),
+                   [&](std::size_t p) { return taggedWith(p, hot); },
+                   fixedTag(cubicles_[owner]->pkey));
         for (std::size_t i = 0; i < cubicleCount(); ++i)
             cubicles_[i]->extraAllow.deny(w.hotKey);
     }
@@ -487,7 +522,6 @@ void
 Monitor::windowSetHot(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_set_hot");
     if (w.hotKey >= 0)
         return;
@@ -516,7 +550,6 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
                         hw::Access expected)
 {
     WriterLock lock(windowMutex_);
-    stats_->add(Stats::Id::windowOps);
     Window &w = windowChecked(caller, wid, "window_prestage");
     if (peer >= cubicleCount())
         throw WindowError("window_prestage: unknown peer cubicle");
@@ -531,15 +564,14 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
 
     // The hint is a usage declaration: the audit would otherwise never
     // see a fault from a peer whose first touch was prestaged away.
-    if (expected == hw::Access::kWrite)
-        windowUsage_[wid].usedWrite.fetchOr(aclBit(peer));
-    windowUsage_[wid].usedRead.fetchOr(aclBit(peer));
-    // Remember the standing hint so an eviction of the peer does not
-    // erase it: fault-in replays the prestage (DESIGN.md §14).
-    if (expected == hw::Access::kWrite)
-        windowUsage_[wid].prestagedWrite.fetchOr(aclBit(peer));
-    else
-        windowUsage_[wid].prestagedRead.fetchOr(aclBit(peer));
+    // Remember the standing hint too, so an eviction of the peer does
+    // not erase it: fault-in replays the prestage (DESIGN.md §14).
+    const bool write = expected == hw::Access::kWrite;
+    if (write)
+        windowUsage_[wid][kUsedWrite].fetchOr(aclBit(peer));
+    windowUsage_[wid][kUsedRead].fetchOr(aclBit(peer));
+    windowUsage_[wid][write ? kPrestagedWrite : kPrestagedRead].fetchOr(
+        aclBit(peer));
 
     const int peer_pkey = cubicles_[peer]->pkey;
     if (parkedKey_ >= 0 && peer_pkey == parkedKey_) {
@@ -550,20 +582,15 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
     }
 
     const std::size_t total =
-        prestageSweep(caller, wid, static_cast<uint8_t>(peer_pkey),
-                      /*only_parked=*/false);
+        prestageSweep(caller, wid, peer_pkey, /*only_parked=*/false);
     if (total > 0)
         stats_->add(Stats::Id::prestages);
     return total;
 }
 
 std::size_t
-Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
-                       bool only_parked)
+Monitor::prestageSweep(Cid owner, Wid wid, int peer_key, bool only_parked)
 {
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
-    std::size_t total = 0;
     // Owner intersection, exactly as in handleFault: windowAdd
     // validates only the first page, so foreign pages inside a range
     // are skipped, never granted. Pages already carrying the peer's
@@ -573,41 +600,26 @@ Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
     // fault-in replay) the sweep reclaims only pages the eviction
     // parked, plus pages the window's owner pulled back under its own
     // tag when it faulted in first — pages a third party currently
-    // holds keep their tag.
-    const uint8_t owner_key = static_cast<uint8_t>(cubicles_[owner]->pkey);
-    auto eligible = [&](std::size_t i) {
-        if (meta_.at(i).owner != owner ||
-            space_.entryAt(i).pkey == peer_key)
+    // holds keep their tag. Prestaged pages are counted by the
+    // prestages counter, not as retags.
+    const int owner_key = cubicles_[owner]->pkey;
+    auto eligible = [&, parked = parkedKey_](std::size_t i) {
+        const int key = space_.entryAt(i).pkey;
+        if (meta_.at(i).owner != owner || key == peer_key)
             return false;
-        if (only_parked &&
-            space_.entryAt(i).pkey != static_cast<uint8_t>(parkedKey_) &&
-            space_.entryAt(i).pkey != owner_key)
-            return false;
-        return true;
+        return !only_parked || key == parked || key == owner_key;
     };
+    std::size_t total = 0;
     for (const WindowRange &r : cubicles_[owner]->windows.rangesOf(wid)) {
         const auto *p = static_cast<const std::byte *>(r.ptr);
         if (r.size == 0 || !space_.contains(p))
             continue;
         const std::byte *last_byte = p + r.size - 1;
-        const std::size_t first = space_.pageIndexOf(p);
-        const std::size_t last = space_.contains(last_byte)
-            ? space_.pageIndexOf(last_byte)
-            : space_.numPages() - 1;
-        std::size_t i = first;
-        while (i <= last) {
-            if (!eligible(i)) {
-                ++i;
-                continue;
-            }
-            std::size_t run_end = i + 1;
-            while (run_end <= last && run_end - i < chunk &&
-                   eligible(run_end))
-                ++run_end;
-            space_.setKeyRange(i, run_end - i, peer_key);
-            total += run_end - i;
-            i = run_end;
-        }
+        const std::size_t end = space_.contains(last_byte)
+            ? space_.pageIndexOf(last_byte) + 1
+            : space_.numPages();
+        total += retagSweep(space_.pageIndexOf(p), end, eligible,
+                            fixedTag(peer_key), /*count=*/false);
     }
     return total;
 }
@@ -626,8 +638,7 @@ Monitor::windowAcl(Wid wid) const
 // ----------------------------------------------------------------------
 
 bool
-Monitor::handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode)
+Monitor::handleFault(const hw::Fault &fault, Cid accessor)
 {
     clock_.charge(hw::cost::kFaultTrap);
     stats_->add(Stats::Id::traps);
@@ -671,29 +682,25 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     int accessor_key_i = cubicles_[accessor]->pkey;
     if (parkedKey_ >= 0 && accessor_key_i == parkedKey_)
         accessor_key_i = ensureResident(accessor);
-    const auto accessor_key = static_cast<uint8_t>(accessor_key_i);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
 
     // The owner always has access to its own pages (implicit window 0):
     // a fault here means the page was lazily left tagged for a previous
     // accessor; retag it back. Range-granular: the contiguous run of
     // pages with the same owner and the same stale tag was granted
     // away by the same lazy history, so one pkey_mprotect reclaims all
-    // of it (capped at retagChunkPages). Matching on the faulting tag
+    // of it (capped at kRetagChunkPages). Matching on the faulting tag
     // keeps hot-window pages (dedicated key) out of the run. Lock-free:
     // the atomic tag stores are the whole commit.
     // "CubicleOS w/o ACLs" takes the same path: MPK enforced, windows
     // open for any access.
-    if (page_owner == accessor || mode == IsolationMode::kNoAcl) {
+    if (page_owner == accessor || cfg_.mode == IsolationMode::kNoAcl) {
         const std::size_t limit =
-            std::min(space_.numPages(), page + chunk);
+            std::min(space_.numPages(), page + kRetagChunkPages);
         std::size_t end = page + 1;
         while (end < limit && meta_.at(end).owner == page_owner &&
                space_.entryAt(end).pkey == fault.pkey)
             ++end;
-        space_.setKeyRange(page, end - page, accessor_key);
-        stats_->countRetag(end - page);
+        retagSweep(page, end, kWholeRun, fixedTag(accessor_key_i));
         if (parkedKey_ >= 0 &&
             cubicles_[accessor]->pkey != accessor_key_i) {
             // An eviction re-bound our tag between the read above and
@@ -701,8 +708,8 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
             // belongs to another cubicle. Undo to the parked tag —
             // losing access is always safe — and let the retried
             // access fault back in through ensureResident.
-            space_.setKeyRange(page, end - page,
-                               static_cast<uint8_t>(parkedKey_));
+            retagSweep(page, end, kWholeRun, fixedTag(parkedKey_),
+                       /*count=*/false);
         }
         return true;
     }
@@ -725,16 +732,14 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     // is the one point where a peer demonstrably used its ACL bit.
     // Relaxed fetch-or under the shared lock — the audit only reads
     // the masks after quiescing through snapshotWiring's locks.
-    if (fault.reason == hw::FaultReason::kPkuWrite)
-        windowUsage_[wid].usedWrite.fetchOr(aclBit(accessor));
-    else
-        windowUsage_[wid].usedRead.fetchOr(aclBit(accessor));
+    const bool write = fault.reason == hw::FaultReason::kPkuWrite;
+    windowUsage_[wid][write ? kUsedWrite : kUsedRead].fetchOr(aclBit(accessor));
 
     // ❺ grant: range-granular. The ACL covers the whole window, not
     // one page, so one fault may retag the entire merged coverage of
     // the matched window's ranges around the faulting address —
     // intersected per page with the owner's pages (windowAdd validates
-    // only the first page of a range) and capped at retagChunkPages.
+    // only the first page of a range) and capped at kRetagChunkPages.
     // The tag stores are atomic, so the commit needs no exclusive
     // lock; a concurrent close cannot interleave (it takes the lock
     // exclusively).
@@ -750,10 +755,10 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
         const std::size_t last = space_.contains(span_last)
             ? space_.pageIndexOf(span_last)
             : space_.numPages() - 1;
-        while (hi <= last && hi - lo < chunk &&
+        while (hi <= last && hi - lo < kRetagChunkPages &&
                meta_.at(hi).owner == page_owner)
             ++hi;
-        while (lo > first && hi - lo < chunk &&
+        while (lo > first && hi - lo < kRetagChunkPages &&
                meta_.at(lo - 1).owner == page_owner)
             --lo;
     }
@@ -764,8 +769,7 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
         // backs another cubicle. Retry; the next round re-binds.
         return true;
     }
-    space_.setKeyRange(lo, hi - lo, accessor_key);
-    stats_->countRetag(hi - lo);
+    retagSweep(lo, hi, kWholeRun, fixedTag(accessor_key_i));
     return true;
 }
 
@@ -855,7 +859,9 @@ Monitor::evictLocked()
     // granted it through windows (their tag ran ahead of revocation
     // under §5.6 laziness; parking them is a narrowing, always safe).
     const std::size_t pages =
-        sweepTag(0, space_.numPages(), tag, parkedKey_);
+        retagSweep(0, space_.numPages(),
+                   [&](std::size_t p) { return taggedWith(p, tag); },
+                   fixedTag(parkedKey_));
 
     // Unlike PR 8's widening retags, an eviction is a *narrowing*
     // retag that cached grants may still cover: bump the revocation
@@ -874,32 +880,14 @@ Monitor::evictLocked()
 std::size_t
 Monitor::faultInLocked(Cid cid, int tag)
 {
-    const auto parked = static_cast<uint8_t>(parkedKey_);
-    const auto to = static_cast<uint8_t>(tag);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
-    const std::size_t n = space_.numPages();
-
-    // Restore the cubicle's own parked pages in chunked runs.
-    auto wants = [&](std::size_t p) {
-        return space_.entryAt(p).present &&
-               space_.entryAt(p).pkey == parked && meta_.at(p).owner == cid;
+    // Restore the cubicle's own parked pages in chunked runs. Owner
+    // first: every parked cubicle's pages carry the parked tag, so the
+    // owner is what rejects most pages.
+    auto parked_own = [&, parked = parkedKey_](std::size_t p) {
+        return meta_.at(p).owner == cid && taggedWith(p, parked);
     };
-    std::size_t total = 0;
-    std::size_t i = 0;
-    while (i < n) {
-        if (!wants(i)) {
-            ++i;
-            continue;
-        }
-        std::size_t run = i + 1;
-        while (run < n && run - i < chunk && wants(run))
-            ++run;
-        space_.setKeyRange(i, run - i, to);
-        stats_->countRetag(run - i);
-        total += run - i;
-        i = run;
-    }
+    std::size_t total =
+        retagSweep(0, space_.numPages(), parked_own, fixedTag(tag));
 
     // Replay standing prestage hints: every live window that prestaged
     // for this cubicle (and still lists it in the ACL) gets its parked
@@ -911,13 +899,12 @@ Monitor::faultInLocked(Cid cid, int tag)
         const Window &w = windows_[wid];
         if (!w.live || !(w.acl & bit))
             continue;
-        const bool hinted =
-            static_cast<bool>(windowUsage_[wid].prestagedRead.load() & bit) ||
-            static_cast<bool>(windowUsage_[wid].prestagedWrite.load() & bit);
-        if (!hinted)
+        const AclMask hinted = windowUsage_[wid][kPrestagedRead].load() |
+                               windowUsage_[wid][kPrestagedWrite].load();
+        if (!static_cast<bool>(hinted & bit))
             continue;
         const std::size_t replayed =
-            prestageSweep(w.owner, wid, to, /*only_parked=*/true);
+            prestageSweep(w.owner, wid, tag, /*only_parked=*/true);
         if (replayed > 0) {
             stats_->add(Stats::Id::prestages);
             total += replayed;
@@ -926,35 +913,6 @@ Monitor::faultInLocked(Cid cid, int tag)
 
     cubicles_[cid]->faultIns.fetchAdd(1);
     stats_->countFaultIn(total);
-    return total;
-}
-
-std::size_t
-Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
-{
-    const auto from_key = static_cast<uint8_t>(from);
-    const auto to_key = static_cast<uint8_t>(to);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
-    auto wants = [&](std::size_t p) {
-        return space_.entryAt(p).present &&
-               space_.entryAt(p).pkey == from_key;
-    };
-    std::size_t total = 0;
-    std::size_t i = first;
-    while (i < end) {
-        if (!wants(i)) {
-            ++i;
-            continue;
-        }
-        std::size_t run = i + 1;
-        while (run < end && run - i < chunk && wants(run))
-            ++run;
-        space_.setKeyRange(i, run - i, to_key);
-        stats_->countRetag(run - i);
-        total += run - i;
-        i = run;
-    }
     return total;
 }
 
@@ -1019,30 +977,15 @@ Monitor::destroyCubicle(Cid cid)
             Window &w = windows_[wid];
             if (!w.live || (w.acl & bit) == AclMask{})
                 continue;
-            RevokedGrant g;
-            g.wid = wid;
-            g.owner = w.owner;
-            g.usedRead =
-                (windowUsage_[wid].usedRead.load() & bit) != AclMask{};
-            g.usedWrite =
-                (windowUsage_[wid].usedWrite.load() & bit) != AclMask{};
-            g.prestagedRead =
-                (windowUsage_[wid].prestagedRead.load() & bit) !=
-                AclMask{};
-            g.prestagedWrite =
-                (windowUsage_[wid].prestagedWrite.load() & bit) !=
-                AclMask{};
-            g.hot = w.hotKey >= 0;
+            RevokedGrant g{wid, w.owner};
+            for (int u = 0; u < kGrantUses; ++u) {
+                AtomicAclMask &m = windowUsage_[wid][u];
+                if ((m.load() & bit) != AclMask{})
+                    g.uses |= 1u << u;
+                m.store(m.load() & keep);
+            }
             rec.revoked.push_back(g);
             w.acl &= keep;
-            windowUsage_[wid].usedRead.store(
-                windowUsage_[wid].usedRead.load() & keep);
-            windowUsage_[wid].usedWrite.store(
-                windowUsage_[wid].usedWrite.load() & keep);
-            windowUsage_[wid].prestagedRead.store(
-                windowUsage_[wid].prestagedRead.load() & keep);
-            windowUsage_[wid].prestagedWrite.store(
-                windowUsage_[wid].prestagedWrite.load() & keep);
         }
 
         // 3c. Pages of OTHER owners still carrying the victim's tag
@@ -1056,21 +999,15 @@ Monitor::destroyCubicle(Cid cid)
         // back in.
         const int victim_tag = cub.pkey;
         if (victim_tag >= 0 && victim_tag != parkedKey_) {
-            const auto vkey = static_cast<uint8_t>(victim_tag);
-            std::size_t returned = 0;
-            for (std::size_t p = 0; p < space_.numPages(); ++p) {
-                if (!space_.entryAt(p).present ||
-                    space_.entryAt(p).pkey != vkey)
-                    continue;
-                const Cid own = meta_.at(p).owner;
-                if (own == cid || own >= cubicleCount())
-                    continue;
-                space_.setKey(p, 1,
-                              static_cast<uint8_t>(cubicles_[own]->pkey));
-                ++returned;
-            }
-            if (returned > 0)
-                stats_->countRetag(returned);
+            auto foreign = [&](std::size_t p) {
+                return taggedWith(p, victim_tag) &&
+                       meta_.at(p).owner != cid &&
+                       meta_.at(p).owner < cubicleCount();
+            };
+            auto owner_tag = [&](std::size_t p) {
+                return static_cast<int>(cubicles_[meta_.at(p).owner]->pkey);
+            };
+            retagSweep(0, space_.numPages(), foreign, owner_tag);
         }
 
         // 3d. Hot-window keys granted TO the victim die with it.
@@ -1192,23 +1129,19 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
             if (!w.live || w.owner != g.owner)
                 continue;
             w.acl |= bit;
-            if (g.usedRead)
-                windowUsage_[g.wid].usedRead.fetchOr(bit);
-            if (g.usedWrite)
-                windowUsage_[g.wid].usedWrite.fetchOr(bit);
-            if (g.prestagedRead)
-                windowUsage_[g.wid].prestagedRead.fetchOr(bit);
-            if (g.prestagedWrite)
-                windowUsage_[g.wid].prestagedWrite.fetchOr(bit);
+            for (int u = 0; u < kGrantUses; ++u) {
+                if (g.uses & (1u << u))
+                    windowUsage_[g.wid][u].fetchOr(bit);
+            }
             if (w.hotKey >= 0)
                 cub.extraAllow.allow(w.hotKey);
-            if ((g.prestagedRead || g.prestagedWrite) &&
-                pk != parkedKey_) {
+            const unsigned prestaged =
+                (1u << kPrestagedRead) | (1u << kPrestagedWrite);
+            if ((g.uses & prestaged) && pk != parkedKey_) {
                 // Resident restart: replay the eager sweep now. A
                 // parked restart leaves it to fault-in (as after an
                 // eviction).
-                replayed += prestageSweep(g.owner, g.wid,
-                                          static_cast<uint8_t>(pk),
+                replayed += prestageSweep(g.owner, g.wid, pk,
                                           /*only_parked=*/false);
             }
         }
@@ -1258,8 +1191,8 @@ Monitor::allocPagesFor(Cid cid, std::size_t n, mem::PageType type,
         // An eviction re-bound (or parked) the cubicle's tag while we
         // tagged the fresh pages with the stale value. Park them —
         // always safe — and let first touch fault them in.
-        space_.setKeyRange(r.first, r.count,
-                           static_cast<uint8_t>(parkedKey_));
+        retagSweep(r.first, r.first + r.count, kWholeRun,
+                   fixedTag(parkedKey_), /*count=*/false);
     }
     return r;
 }

@@ -63,6 +63,7 @@
 #ifndef CUBICLEOS_CORE_MONITOR_H_
 #define CUBICLEOS_CORE_MONITOR_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -97,6 +98,26 @@ namespace cubicleos::core {
  */
 enum class AuditLevel : uint8_t { kOff, kReport, kStrict };
 
+/**
+ * Upper bound, in pages, on one range-granular retag (trap-and-map
+ * step ❺, prestaging, eviction and fault-in sweeps). One fault retags
+ * the whole window-range ∩ owner-pages intersection around the
+ * faulting address, but never more than this many pages per
+ * pkey_mprotect call, so a huge window cannot turn one trap into an
+ * unbounded tag sweep. 512 pages = 2 MiB (a huge-page analogue).
+ */
+inline constexpr std::size_t kRetagChunkPages = 512;
+
+/**
+ * Physical keys kept allocatable for hot windows (paper §8) under
+ * SystemConfig::virtualizeTags: static cubicle tagging stops once only
+ * this many keys remain, so the infrastructure's hot windows can still
+ * claim dedicated hardware tags. Hot windows requested after the
+ * reserve too is spent degrade to ordinary trap-and-map windows
+ * instead of failing the boot.
+ */
+inline constexpr int kHotKeyReserve = 2;
+
 /** System-wide configuration knobs. */
 struct SystemConfig {
     /** Size of the simulated address space in pages (default 64 MiB). */
@@ -125,17 +146,6 @@ struct SystemConfig {
      * clamped to [2, hw::kNumPhysPkeys]).
      */
     int physTagBudget = hw::kNumPhysPkeys;
-    /**
-     * Physical keys kept allocatable for hot windows (paper §8) when
-     * virtualizeTags is on: static cubicle tagging stops once only
-     * this many keys remain, so the infrastructure's hot windows can
-     * still claim dedicated hardware tags. Hot windows requested
-     * after the reserve too is spent degrade to ordinary trap-and-map
-     * windows instead of failing the boot.
-     */
-    int hotKeyReserve = 2;
-    /** Model the paper's modified-MPK execute semantics. */
-    bool modifiedExecSemantics = true;
     /** Default per-cubicle stack arena size in pages. */
     std::size_t stackPages = 16;
     /** Default heap growth granularity in pages. */
@@ -152,16 +162,6 @@ struct SystemConfig {
      * boot (no effect otherwise). See AuditLevel.
      */
     AuditLevel auditLevel = AuditLevel::kOff;
-    /**
-     * Upper bound, in pages, on one range-granular retag (trap-and-map
-     * step ❺ and eager prestaging). One fault retags the whole
-     * window-range ∩ owner-pages intersection around the faulting
-     * address, but never more than this many pages per pkey_mprotect
-     * call, so a huge window cannot turn one trap into an unbounded
-     * tag sweep. Default 512 pages = 2 MiB (a huge-page analogue).
-     * Setting 1 restores the paper's per-page behaviour exactly.
-     */
-    std::size_t retagChunkPages = 512;
 };
 
 /**
@@ -379,7 +379,7 @@ class Monitor {
      * never widens rights, it only moves the grant's step ❺ from
      * fault time to open time, so a prestaged access is exactly as
      * authorised as a faulted one. Per-page owner intersection and the
-     * retagChunkPages cap apply as in handleFault. The hint counts as
+     * kRetagChunkPages cap apply as in handleFault. The hint counts as
      * exercised usage for the least-privilege audit: declaring
      * expected access *is* the usage declaration (same contract as
      * hot windows, which never fault either).
@@ -418,8 +418,7 @@ class Monitor {
      * @return true if the page was retagged and the access may be
      *         retried; false if this is a genuine isolation violation.
      */
-    bool handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode);
+    bool handleFault(const hw::Fault &fault, Cid accessor);
 
     // ------------------------------------------------------------------
     // Memory management for cubicles
@@ -468,6 +467,12 @@ class Monitor {
     void debugWindowLookupUnlockedForTest(Cid cid) const;
 
   private:
+    /**
+     * Counts one window operation @p op and returns @p caller's live
+     * window @p wid.
+     * @throws WindowError on a dead window or one @p caller does not
+     *         own.
+     */
     Window &windowChecked(Cid caller, Wid wid, const char *op)
         REQUIRES(windowMutex_);
 
@@ -508,10 +513,31 @@ class Monitor {
     std::size_t faultInLocked(Cid cid, int tag)
         REQUIRES(windowMutex_, keyMutex_);
 
-    /** One chunked setKeyRange sweep: pages in [first,end) whose
-     *  current tag is @p from become @p to. Returns pages retagged. */
-    std::size_t sweepTag(std::size_t first, std::size_t end, int from,
-                         int to);
+    /**
+     * The one retag sweep: the only code outside hw/ that calls
+     * hw::AddressSpace::setKeyRange (the retag_lint test holds this).
+     * Walks pages [first, end) and groups the pages @p accept(page)
+     * accepts into runs that share a target tag @p tag_of(page), at
+     * most kRetagChunkPages pages each. Each run is committed with one
+     * setKeyRange and counted with Stats::countRetag when @p count is
+     * set.
+     * @return pages retagged.
+     */
+    template <typename Accept, typename TagFn>
+    [[gnu::always_inline]] inline std::size_t
+    retagSweep(std::size_t first, std::size_t end, Accept accept,
+               TagFn tag_of, bool count = true);
+
+    /**
+     * True when @p page is mapped and carries tag @p key. The tag is
+     * tested first: in a whole-space sweep nearly every page carries
+     * another tag, so one load rejects it.
+     */
+    bool taggedWith(std::size_t page, int key) const
+    {
+        const hw::PageEntry &e = space_.entryAt(page);
+        return e.pkey == key && e.present;
+    }
 
     /**
      * Eagerly retags window @p wid's ranges (owner ∩ not-peer-tagged,
@@ -519,7 +545,7 @@ class Monitor {
      * currently parked pages — the fault-in prestage replay.
      * @return pages retagged.
      */
-    std::size_t prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
+    std::size_t prestageSweep(Cid owner, Wid wid, int peer_key,
                               bool only_parked) REQUIRES(windowMutex_);
 
     SystemConfig cfg_;
@@ -582,28 +608,19 @@ class Monitor {
     std::atomic<uint64_t> windowEpoch_{0};
 
     /**
-     * Per-window dataflow history for the least-privilege audit
+     * Per-window grant history, one peer mask per GrantUse. The used
+     * masks are the dataflow history for the least-privilege audit
      * (verifier::auditWiring): which peers actually faulted a read or
-     * a write through the window. Parallel to windows_; slots are
-     * reset when windowInit recycles a descriptor. The members are
-     * relaxed atomics so the fault path can record usage under the
-     * shared window lock; hot windows never fault and therefore stay
-     * blank (the audit's documented blind spot).
+     * a write through the window. The prestaged masks are the peers
+     * with a standing prestage hint, recorded by windowPrestage;
+     * fault-in replays these so a hint survives its pages being
+     * parked by an eviction (DESIGN.md §14). Parallel to windows_;
+     * slots are reset when windowInit recycles a descriptor. Relaxed
+     * atomics, so the fault path can record usage under the shared
+     * window lock; hot windows never fault and therefore stay blank
+     * (the audit's documented blind spot).
      */
-    struct WindowUsage {
-        AtomicAclMask usedRead;
-        AtomicAclMask usedWrite;
-        /**
-         * Peers with a standing prestage hint on this window (read /
-         * write), recorded by windowPrestage and cleared with the
-         * usage masks on slot recycle. Fault-in replays these so a
-         * prestage hint survives its pages being parked by an
-         * eviction (the grant layer declared the access once; the
-         * monitor keeps the declaration, DESIGN.md §14).
-         */
-        AtomicAclMask prestagedRead;
-        AtomicAclMask prestagedWrite;
-    };
+    using WindowUsage = std::array<AtomicAclMask, kGrantUses>;
     std::vector<WindowUsage> windowUsage_ GUARDED_BY(windowMutex_);
 
     /** Load-time verifier reports, parallel to cubicles_ (same

@@ -24,6 +24,32 @@ thread_local std::vector<TlsEntry> tls_entries;
 thread_local uint64_t tls_cached_serial = 0;
 thread_local ThreadCtx *tls_cached_ctx = nullptr;
 
+/**
+ * Strict-verify gate: throws LoaderError(@p what + one "\n  [severity]
+ * rule: message" line per warning-or-worse finding) when there is any
+ * such finding anchored to @p only (to any cubicle for kNoCubicle).
+ */
+void
+refuseLintFailures(const std::string &what,
+                   const std::vector<verifier::LintFinding> &findings,
+                   Cid only = kNoCubicle)
+{
+    std::string msg;
+    for (const verifier::LintFinding &f : findings) {
+        if (f.severity < verifier::LintSeverity::kWarning ||
+            (only != kNoCubicle && f.cubicle != only))
+            continue;
+        msg += "\n  [";
+        msg += verifier::lintSeverityName(f.severity);
+        msg += "] ";
+        msg += verifier::lintRuleName(f.rule);
+        msg += ": ";
+        msg += f.message;
+    }
+    if (!msg.empty())
+        throw LoaderError(what + msg);
+}
+
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -158,8 +184,7 @@ CallRing::flush()
 // ----------------------------------------------------------------------
 
 System::System(SystemConfig cfg)
-    : stats_(), monitor_(cfg, &stats_), mode_(cfg.mode),
-      serial_(g_system_serial.fetch_add(1))
+    : stats_(), monitor_(cfg, &stats_), serial_(g_system_serial.fetch_add(1))
 {
 }
 
@@ -284,21 +309,8 @@ System::boot()
                                 std::make_move_iterator(audit.end()));
             }
         }
-        if (!verifier::lintClean(findings)) {
-            std::string msg =
-                "strict verify: isolation lint failed at boot:";
-            for (const verifier::LintFinding &f : findings) {
-                if (f.severity < verifier::LintSeverity::kWarning)
-                    continue;
-                msg += "\n  [";
-                msg += verifier::lintSeverityName(f.severity);
-                msg += "] ";
-                msg += verifier::lintRuleName(f.rule);
-                msg += ": ";
-                msg += f.message;
-            }
-            throw LoaderError(msg);
-        }
+        refuseLintFailures("strict verify: isolation lint failed at boot:",
+                           findings);
     }
 }
 
@@ -421,17 +433,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
                                 monitor_.cubicle(ctx.current).name +
                                 "' destroyed while running");
         }
-        // Tag virtualisation: an eviction (or fault-in) since this
-        // thread last loaded PKRU may have rebound a physical tag to a
-        // different cubicle; a stale PKRU allowing that tag would now
-        // reach the *new* owner's pages without faulting. The epoch
-        // check models the PKRU-update IPI real MPK kernels broadcast.
-        if (ctx.keyEpoch != monitor_.keyEpoch()) {
-            ctx.keyEpoch = monitor_.keyEpoch();
-            ctx.pkru = monitor_.pkruFor(ctx.current);
-            clock().charge(hw::cost::kWrpkru);
-            stats_.add(Stats::Id::wrpkrus);
-        }
+        refreshStalePkru(ctx);
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, len, access);
         if (!fault)
@@ -486,7 +488,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         // close races between the walk and the insert, the cached
         // entry carries the pre-close epoch and can never hit.
         const uint64_t epoch = monitor_.windowEpoch();
-        if (!monitor_.handleFault(*fault, ctx.current, mode_)) {
+        if (!monitor_.handleFault(*fault, ctx.current)) {
             stats_.add(Stats::Id::violations);
             throw hw::CubicleFault(*fault);
         }
@@ -500,7 +502,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
 void
 System::checkExec(const void *ptr)
 {
-    if (mode_ < IsolationMode::kNoAcl)
+    if (mode() < IsolationMode::kNoAcl)
         return;
     ThreadCtx &ctx = currentCtx();
     // Bounded retry: an exec fault can be a parked code page of the
@@ -508,12 +510,7 @@ System::checkExec(const void *ptr)
     // host-side). Fault the cubicle back in and re-check once per
     // rebinding; genuine cross-cubicle exec faults still throw.
     for (int attempt = 0;; ++attempt) {
-        if (ctx.keyEpoch != monitor_.keyEpoch()) {
-            ctx.keyEpoch = monitor_.keyEpoch();
-            ctx.pkru = monitor_.pkruFor(ctx.current);
-            clock().charge(hw::cost::kWrpkru);
-            stats_.add(Stats::Id::wrpkrus);
-        }
+        refreshStalePkru(ctx);
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, 1, hw::Access::kExec);
         if (!fault)
@@ -537,20 +534,27 @@ System::checkExec(const void *ptr)
     }
 }
 
-void *
-System::heapAlloc(std::size_t size)
+Cubicle &
+System::liveHeapOwner(const char *op)
 {
     const Cid cid = currentCtx().current;
     if (cid == kNoCubicle)
-        throw LoaderError("heapAlloc outside any cubicle");
+        throw LoaderError(std::string(op) + " outside any cubicle");
     Cubicle &cub = monitor_.cubicle(cid);
     // Lifecycle: the heap dies with its cubicle, and a destroyed
     // cubicle has cub.heap == nullptr until a restart rebuilds it.
     if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
         stats_.add(Stats::Id::unwoundCalls);
-        throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
+        throw PeerFault(cid, std::string(op) + " in destroyed cubicle '" +
                                  cub.name + "'");
     }
+    return cub;
+}
+
+void *
+System::heapAlloc(std::size_t size)
+{
+    Cubicle &cub = liveHeapOwner("heapAlloc");
     void *p;
     {
         // Per-cubicle heap lock: threads in different cubicles allocate
@@ -567,15 +571,7 @@ System::heapAlloc(std::size_t size)
 void *
 System::heapAllocZeroed(std::size_t size)
 {
-    const Cid cid = currentCtx().current;
-    if (cid == kNoCubicle)
-        throw LoaderError("heapAlloc outside any cubicle");
-    Cubicle &cub = monitor_.cubicle(cid);
-    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.add(Stats::Id::unwoundCalls);
-        throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
-                                 cub.name + "'");
-    }
+    Cubicle &cub = liveHeapOwner("heapAlloc");
     void *p;
     {
         MutexLock lock(cub.heapMu);
@@ -589,15 +585,7 @@ System::heapAllocZeroed(std::size_t size)
 void
 System::heapFree(void *ptr)
 {
-    const Cid cid = currentCtx().current;
-    if (cid == kNoCubicle)
-        throw LoaderError("heapFree outside any cubicle");
-    Cubicle &cub = monitor_.cubicle(cid);
-    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.add(Stats::Id::unwoundCalls);
-        throw PeerFault(cid, "heapFree in destroyed cubicle '" +
-                                 cub.name + "'");
-    }
+    Cubicle &cub = liveHeapOwner("heapFree");
     MutexLock lock(cub.heapMu);
     cub.heap->free(ptr);
 }
@@ -654,23 +642,9 @@ System::restartComponent(std::string_view name)
     // cubicles' wiring did not change, so a full-deployment gate would
     // only re-report pre-existing accepted findings.
     if (config().strictVerify) {
-        std::string msg;
-        for (const verifier::LintFinding &f : lintWiring()) {
-            if (f.cubicle != cid ||
-                f.severity < verifier::LintSeverity::kWarning)
-                continue;
-            msg += "\n  [";
-            msg += verifier::lintSeverityName(f.severity);
-            msg += "] ";
-            msg += verifier::lintRuleName(f.rule);
-            msg += ": ";
-            msg += f.message;
-        }
-        if (!msg.empty()) {
-            throw LoaderError(
-                "strict verify: isolation lint failed after restart "
-                "of '" + std::string(name) + "':" + msg);
-        }
+        refuseLintFailures("strict verify: isolation lint failed after "
+                           "restart of '" + std::string(name) + "':",
+                           lintWiring(), cid);
     }
 }
 

@@ -260,7 +260,7 @@ class System {
      */
     void touch(const void *ptr, std::size_t len, hw::Access access)
     {
-        if (mode_ < IsolationMode::kNoAcl)
+        if (mode() < IsolationMode::kNoAcl)
             return;
         ThreadCtx &ctx = currentCtx();
         touchSlow(ctx, ptr, len, access);
@@ -298,50 +298,50 @@ class System {
 
     Wid windowInit()
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return 0;
         return monitor_.windowInit(currentCtx().current);
     }
     void windowAdd(Wid wid, const void *ptr, std::size_t size)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowAdd(currentCtx().current, wid, ptr, size);
     }
     void windowRemove(Wid wid, const void *ptr)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowRemove(currentCtx().current, wid, ptr);
     }
     void windowOpen(Wid wid, Cid peer)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowOpen(currentCtx().current, wid, peer);
     }
     void windowClose(Wid wid, Cid peer)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowClose(currentCtx().current, wid, peer);
     }
     void windowCloseAll(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowCloseAll(currentCtx().current, wid);
     }
     void windowDestroy(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowDestroy(currentCtx().current, wid);
     }
     /** Promotes a window to a hot window (paper §8 proposal). */
     void windowSetHot(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return;
         monitor_.windowSetHot(currentCtx().current, wid);
     }
@@ -352,7 +352,7 @@ class System {
      */
     std::size_t windowPrestage(Wid wid, Cid peer, hw::Access expected)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (mode() == IsolationMode::kUnikraft)
             return 0;
         return monitor_.windowPrestage(currentCtx().current, wid, peer,
                                        expected);
@@ -416,7 +416,7 @@ class System {
     std::string auditJson();
 
     hw::CycleClock &clock() { return monitor_.clock(); }
-    IsolationMode mode() const { return mode_; }
+    IsolationMode mode() const { return monitor_.config().mode; }
     const SystemConfig &config() const { return monitor_.config(); }
 
     // Internal: trampoline implementation detail, public for CrossFn.
@@ -425,7 +425,7 @@ class System {
     {
         // Shared cubicles execute with the caller's privileges and
         // never involve the runtime TCB (paper §3 step ❹).
-        if (callee_shared || mode_ == IsolationMode::kUnikraft)
+        if (callee_shared || mode() == IsolationMode::kUnikraft)
             return fn(std::forward<Args>(args)...);
 
         ThreadCtx &ctx = currentCtx();
@@ -444,6 +444,28 @@ class System {
 
     void touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
                    hw::Access access);
+    /**
+     * Tag virtualisation: an eviction (or fault-in) since this thread
+     * last loaded PKRU may have rebound a physical tag to a different
+     * cubicle; a stale PKRU allowing that tag would now reach the
+     * *new* owner's pages without faulting. The epoch check models the
+     * PKRU-update IPI real MPK kernels broadcast.
+     */
+    [[gnu::always_inline]] void refreshStalePkru(ThreadCtx &ctx)
+    {
+        if (ctx.keyEpoch != monitor_.keyEpoch()) {
+            ctx.keyEpoch = monitor_.keyEpoch();
+            ctx.pkru = monitor_.pkruFor(ctx.current);
+            clock().charge(hw::cost::kWrpkru);
+            stats_.add(Stats::Id::wrpkrus);
+        }
+    }
+    /**
+     * The current cubicle, for heap operation @p op.
+     * @throws LoaderError outside any cubicle; PeerFault (counted as
+     *         an unwound call) when the cubicle is not kLive.
+     */
+    Cubicle &liveHeapOwner(const char *op);
 
     const ExportSlot &findSlot(std::string_view comp_name,
                                std::string_view fn_name,
@@ -451,7 +473,6 @@ class System {
 
     Stats stats_;
     Monitor monitor_;
-    IsolationMode mode_;
     uint64_t serial_;
 
     std::vector<std::unique_ptr<Component>> components_;

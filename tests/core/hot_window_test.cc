@@ -112,6 +112,49 @@ TEST_F(HotWindowTest, DestroyReturnsPagesToOwner)
     });
 }
 
+TEST_F(HotWindowTest, AddSpanningForeignPageGrantsNothing)
+{
+    boot();
+    // The spy's first heap chunk lands in the pages after the owner's,
+    // so some owner heap page sits directly before a spy heap page.
+    char *spy_buf = nullptr;
+    sys->runAs(spy, [&] {
+        spy_buf = static_cast<char *>(sys->heapAlloc(64));
+        std::memset(spy_buf, 0x5a, 64);
+    });
+    hw::AddressSpace &space = sys->monitor().space();
+    mem::PageMetaMap &meta = sys->monitor().pageMeta();
+    std::size_t boundary = 0;
+    for (std::size_t p = 1; p < space.numPages() && boundary == 0; ++p) {
+        if (meta.at(p - 1).owner == owner && meta.at(p).owner == spy)
+            boundary = p;
+    }
+    ASSERT_NE(boundary, 0u) << "no owner page directly before a spy page";
+    const std::byte *owner_page = space.pageAt(boundary - 1);
+    const std::byte *spy_page = space.pageAt(boundary);
+
+    // windowAdd validates only the range's first page; the second one
+    // belongs to the spy and must not take the hot key.
+    sys->runAs(owner, [&] {
+        const Wid hot = sys->windowInit();
+        sys->windowSetHot(hot);
+        sys->windowAdd(hot, owner_page, 2 * hw::kPageSize);
+        sys->windowOpen(hot, peer);
+    });
+    sys->runAs(peer, [&] {
+        EXPECT_NO_THROW(sys->touch(owner_page, 8, hw::Access::kRead));
+        EXPECT_THROW(sys->touch(spy_page, 8, hw::Access::kRead),
+                     hw::CubicleFault);
+    });
+    sys->runAs(owner, [&] {
+        EXPECT_THROW(sys->touch(spy_page, 8, hw::Access::kRead),
+                     hw::CubicleFault);
+    });
+    sys->runAs(spy, [&] {
+        EXPECT_NO_THROW(sys->touch(spy_page, 8, hw::Access::kRead));
+    });
+}
+
 TEST_F(HotWindowTest, OnlyOwnerCanPromote)
 {
     boot();
